@@ -1728,7 +1728,8 @@ def experiment_qsqn(
     goal = parse_query(f"path(n000, n{nodes - 1:03d})")
     # The first prove drains the net and pays the whole billed cost;
     # warm proves serve from the tabled answer relations for free.
-    qsqn_prove_cost = qsqn.prove(goal, facts).trace.cost
+    cold = qsqn.prove(goal, facts).trace
+    qsqn_prove_cost = cold.cost
     start = time.perf_counter()
     for _ in range(proves):
         answer = qsqn.prove(goal, facts)
@@ -1736,11 +1737,16 @@ def experiment_qsqn(
 
     open_goal = parse_query("path(n000, X)")
     start = time.perf_counter()
+    enumerated = list(qsqn.answers(open_goal, facts))
     qsqn_answers = {
-        open_goal.substitute(a.substitution)
-        for a in qsqn.answers(open_goal, facts)
+        open_goal.substitute(a.substitution) for a in enumerated
     }
     timings["qsqn_answers"] = time.perf_counter() - start
+    # Activations (one billed reduction each) run by the cold prove
+    # and the open enumeration; warm proves run none.
+    qsqn_activations = cold.reductions + (
+        enumerated[-1].trace.reductions if enumerated else 0
+    )
 
     start = time.perf_counter()
     td_answers = {
@@ -1775,6 +1781,7 @@ def experiment_qsqn(
     result.data.update({
         "answers": len(qsqn_answers),
         "qsqn_prove_cost": qsqn_prove_cost,
+        "qsqn_activations": qsqn_activations,
         "sg_pairs": len(sg_pairs),
         "proves": proves,
         "nodes": nodes,
@@ -1786,6 +1793,7 @@ def experiment_qsqn(
         [[name, f"{value:.4f}"] for name, value in timings.items()],
         footer=f"{len(qsqn_answers)} answers; QSQN prove cost "
                f"{qsqn_prove_cost:g} x {proves} proves; "
+               f"{qsqn_activations} activations; "
                f"{len(sg_pairs)} same-generation pairs",
     ))
     result.check(

@@ -46,6 +46,7 @@ invalidates the whole net.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .database import Database
@@ -90,43 +91,28 @@ class _NetState:
     """The mutable net state for one database state.
 
     ``input`` maps each predicate signature to its registered
-    subqueries (canonical key -> representative pattern atom);
-    ``ans`` tables the derived facts per signature.  Both levels are
-    insertion-ordered dicts — enumeration never touches hash order.
-    ``version`` counts net growth events (new answer or new subquery);
-    ``processed`` memoizes, per (signature, key, rule index), the
-    version at which the activation last ran, so the fixpoint loop
-    skips activations whose inputs cannot have changed.
+    subqueries (canonical key -> representative pattern atom), an
+    insertion-ordered dict; ``ans`` tables the derived facts in a
+    :class:`Database`, whose insertion-ordered per-argument index
+    serves the answer lookups.  ``heard`` counts, per registered
+    subquery key, the answers tabled since its registration that
+    match it.  ``version`` counts net growth events (new answer or new
+    subquery); ``processed`` memoizes, per (signature, key, rule
+    index), the ``heard`` count of every subquery the activation last
+    looked up, so the fixpoint loop skips activations none of whose
+    lookups has grown.  ``settled`` is the (version, stratum) of the
+    last finished drain: until the net grows, no drain that deep runs.
     """
 
-    __slots__ = ("input", "ans", "version", "processed", "activations")
+    __slots__ = ("input", "ans", "heard", "version", "processed", "settled")
 
     def __init__(self) -> None:
         self.input: Dict[Tuple[str, int], Dict[tuple, Atom]] = {}
-        self.ans: Dict[Tuple[str, int], Dict[Atom, None]] = {}
+        self.ans = Database()
+        self.heard: Dict[tuple, int] = {}
         self.version = 0
-        self.processed: Dict[Tuple[Tuple[str, int], tuple, int], int] = {}
-        self.activations = 0
-
-
-def _matches(fact: Atom, pattern: Atom) -> bool:
-    """Whether a ground fact is an instance of ``pattern``.
-
-    Honours repeated variables (``p(X, X)`` only matches facts whose
-    two arguments coincide), which ``Database.facts_matching`` already
-    does for stored facts — answer-relation scans need the same check.
-    """
-    bindings: Dict[Variable, Term] = {}
-    for p_arg, f_arg in zip(pattern.args, fact.args):
-        if type(p_arg) is Variable:
-            bound = bindings.get(p_arg)
-            if bound is None:
-                bindings[p_arg] = f_arg
-            elif bound != f_arg:
-                return False
-        elif p_arg != f_arg:
-            return False
-    return True
+        self.processed: Dict[tuple, Dict[tuple, int]] = {}
+        self.settled = (-1, -1)
 
 
 class QSQNEngine:
@@ -237,8 +223,8 @@ class QSQNEngine:
                 yield fact
             if not found:
                 trace.record_retrieval(query, False, cost)
-        for fact in list(state.ans.get(signature, ())):
-            if fact not in seen and _matches(fact, query):
+        for fact in list(state.ans.facts_matching(query)):
+            if fact not in seen:
                 seen[fact] = None
                 yield fact
 
@@ -269,15 +255,18 @@ class QSQNEngine:
 
     def _register(
         self, state: _NetState, signature: Tuple[str, int], pattern: Atom
-    ) -> None:
-        """Add a subquery to the input relation (variant-deduplicated)."""
+    ) -> tuple:
+        """Add a subquery to the input relation (variant-deduplicated)
+        and return its canonical key."""
         key = self._canonical(pattern)
         inputs = state.input.get(signature)
         if inputs is None:
             inputs = state.input[signature] = {}
         if key not in inputs:
             inputs[key] = pattern
+            state.heard[key] = 0
             state.version += 1
+        return key
 
     def _drain(
         self,
@@ -290,8 +279,12 @@ class QSQNEngine:
 
         Deterministic sweep order: registered signatures in insertion
         order, subqueries in registration order, rules in rule-base
-        order.  The per-activation version memo keeps the sweep from
-        re-running activations whose inputs cannot have grown."""
+        order.  An activation re-runs only when a subquery it looked up
+        has heard a new answer since: with the same answers to join, a
+        re-run would register the same subqueries and emit nothing."""
+        if state.settled[0] == state.version and state.settled[1] >= upto:
+            return
+        heard = state.heard
         changed = True
         while changed:
             changed = False
@@ -305,18 +298,23 @@ class QSQNEngine:
                     pattern = state.input[signature][key]
                     for index, net in enumerate(nets):
                         memo = (signature, key, index)
-                        if state.processed.get(memo) == state.version:
+                        looked = state.processed.get(memo)
+                        if looked is not None and all(
+                            heard[read] == count
+                            for read, count in looked.items()
+                        ):
                             continue
                         before = state.version
-                        self._activate(state, net, pattern, database, trace)
-                        # Memoize the version the activation *started*
-                        # from: an activation that grew the relations
-                        # (even if only through its own emissions) must
-                        # run again, since its joins snapshotted the
-                        # answer relations before those facts landed.
-                        state.processed[memo] = before
+                        # The counts are taken as each lookup snapshots
+                        # its answers: an activation whose own later
+                        # emissions answer an earlier lookup must run
+                        # again, since that join missed those facts.
+                        state.processed[memo] = self._activate(
+                            state, net, pattern, database, trace
+                        )
                         if state.version != before:
                             changed = True
+        state.settled = (state.version, upto)
 
     def _activate(
         self,
@@ -325,16 +323,18 @@ class QSQNEngine:
         subquery: Atom,
         database: Database,
         trace: ProofTrace,
-    ) -> None:
+    ) -> Dict[tuple, int]:
         """Propagate one subquery through one rule's net edges.
 
         The subquery is unified (relaxed) against the head's slot
         array; the supplementary tuples then flow through the edges by
         a backtracking join that binds slots straight from fact
         argument tuples — the same representation the bottom-up join
-        uses, but seeded by the subquery's constants."""
+        uses, but seeded by the subquery's constants.  Returns the
+        ``heard`` count of each subquery key at its first lookup."""
         plan = net.plan
         slots: List[Optional[Term]] = [None] * plan.nslots
+        looked: Dict[tuple, int] = {}
         for spec, q_arg in zip(plan.head_args, subquery.args):
             if type(q_arg) is Variable:
                 continue  # relaxed: a subquery variable binds nothing
@@ -343,10 +343,9 @@ class QSQNEngine:
                 if current is None:
                     slots[spec] = q_arg
                 elif current != q_arg:
-                    return  # repeated head slot vs. distinct constants
+                    return looked  # repeated head slot, distinct constants
             elif spec != q_arg:
-                return  # head constant conflicts with subquery constant
-        state.activations += 1
+                return looked  # head constant conflicts with the subquery
         trace.record_reduction(self.cost_model.reduction(net.rule))
 
         slot_vars = plan.slot_vars
@@ -355,6 +354,7 @@ class QSQNEngine:
         signatures = database.signatures()
         head_signature = net.rule.head.signature
         head_predicate = net.rule.head.predicate
+        heard = state.heard
         head_args = plan.head_args
         retrieval = self.cost_model.retrieval
 
@@ -381,13 +381,12 @@ class QSQNEngine:
                     args.append(value)
                 else:
                     args.append(spec)
-            fact = Atom._make(head_predicate, tuple(args))
-            answers = state.ans.get(head_signature)
-            if answers is None:
-                answers = state.ans[head_signature] = {}
-            if fact not in answers:
-                answers[fact] = None
+            if state.ans.add(Atom._make(head_predicate, tuple(args))):
                 state.version += 1
+                # Count it for every registered subquery key it answers.
+                for bound in product(*[(arg, None) for arg in args]):
+                    if head_signature + bound in heard:
+                        heard[head_signature + bound] += 1
 
         def walk(level: int) -> None:
             if level == n_edges:
@@ -397,7 +396,7 @@ class QSQNEngine:
             if kind >= _NEG_EDB:
                 goal = pattern_for(lp)
                 if not self._negation_blocked(
-                    state, goal, kind, database, trace
+                    state, goal, kind, database, trace, looked
                 ):
                     walk(level + 1)
                 return
@@ -426,14 +425,14 @@ class QSQNEngine:
                 if not found:
                     trace.record_retrieval(pattern, False, cost)
             if kind == _IDB:
-                self._register(state, lp.signature, pattern)
-                for fact in list(state.ans.get(lp.signature, ())):
-                    if stored and fact in database:
-                        continue  # already joined from the database
-                    if _matches(fact, pattern):
+                key = self._register(state, lp.signature, pattern)
+                looked.setdefault(key, heard[key])
+                for fact in list(state.ans.facts_matching(pattern)):
+                    if not (stored and fact in database):  # joined above
                         extend(fact)
 
         walk(0)
+        return looked
 
     def _negation_blocked(
         self,
@@ -442,6 +441,7 @@ class QSQNEngine:
         kind: int,
         database: Database,
         trace: ProofTrace,
+        looked: Dict[tuple, int],
     ) -> bool:
         """Tuple-at-a-time negation test for one supplementary tuple.
 
@@ -453,13 +453,13 @@ class QSQNEngine:
         is complete for this goal before the emptiness test."""
         if kind == _NEG_IDB:
             signature = goal.signature
-            self._register(state, signature, goal)
+            key = self._register(state, signature, goal)
             self._drain(
                 state, database, trace, self._level.get(signature, 0)
             )
-            for fact in list(state.ans.get(signature, ())):
-                if _matches(fact, goal):
-                    return True
+            looked.setdefault(key, state.heard[key])
+            if state.ans.succeeds(goal):
+                return True
             if signature not in database.signatures():
                 return False
         cost = self.cost_model.retrieval(goal)

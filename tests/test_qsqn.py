@@ -1,5 +1,7 @@
 """The QSQN engine: semantics, tabling, billing, and the registry."""
 
+import random
+
 import pytest
 
 from repro.datalog.bottomup import BottomUpEngine
@@ -14,6 +16,12 @@ from repro.strategies.engines import (
     BottomUpProofAdapter,
     make_engine,
 )
+from repro.workloads.hostile import (
+    deep_recursion_program,
+    mutation_storm,
+    negation_mix_program,
+    same_generation_program,
+)
 
 CLOSURE = """
 path(X, Y) :- edge(X, Y).
@@ -24,6 +32,14 @@ SAME_GENERATION = """
 sib(X, Y) :- par(X, P), par(Y, P).
 sg(X, Y) :- sib(X, Y).
 sg(X, Y) :- par(X, XP), sg(XP, YP), par(Y, YP).
+"""
+
+HIERARCHY = """
+above(X, Y) :- parent(X, Y).
+above(X, Y) :- parent(Z, Y), above(X, Z).
+below(X, Y) :- above(Y, X).
+peer(X, Y) :- parent(Z, X), parent(Z, Y).
+peer(X, Y) :- parent(A, X), parent(B, Y), peer(A, B).
 """
 
 
@@ -212,3 +228,122 @@ class TestEngineRegistry:
         assert SessionConfig(engine="qsqn").engine == "qsqn"
         with pytest.raises(ValueError):
             SessionConfig(engine="magic")
+
+
+class GlobalVersionQSQN(QSQNEngine):
+    """Reference drain: the global-version memo this engine replaced.
+
+    Every activation re-runs whenever *anything* in the net grew since
+    it last ran (any new answer or any new subquery).  It derives the
+    same fixpoint by brute force; the change-driven drain must match
+    it byte for byte while running no more activations.
+    """
+
+    def _drain(self, state, database, trace, upto):
+        changed = True
+        while changed:
+            changed = False
+            for signature in list(state.input):
+                if self._level.get(signature, 0) > upto:
+                    continue
+                nets = self._net.get(signature)
+                if not nets:
+                    continue
+                for key in list(state.input[signature]):
+                    pattern = state.input[signature][key]
+                    for index, net in enumerate(nets):
+                        memo = (signature, key, index)
+                        if state.processed.get(memo) == state.version:
+                            continue
+                        before = state.version
+                        self._activate(state, net, pattern, database, trace)
+                        state.processed[memo] = before
+                        if state.version != before:
+                            changed = True
+
+
+HOSTILE_SHAPES = {
+    "deep-recursion": lambda seed: deep_recursion_program(
+        seed, depth=12, n_queries=6
+    ),
+    "same-generation": lambda seed: same_generation_program(
+        seed, depth=3, fanout=2, n_queries=6
+    ),
+    "negation-mix": lambda seed: negation_mix_program(seed, n_queries=6),
+}
+
+
+class TestChangeDrivenDrain:
+    @pytest.mark.parametrize("shape", sorted(HOSTILE_SHAPES))
+    def test_matches_global_version_reference(self, shape):
+        for seed in range(20):
+            rules, facts, queries = HOSTILE_SHAPES[shape](seed)
+            rule_base = parse_program("\n".join(rules))
+            db = Database.from_program("\n".join(facts))
+            storm = mutation_storm(seed, facts, 2)
+            for step in range(len(storm) + 1):
+                if step:
+                    op, text = storm[step - 1]
+                    (db.add if op == "add" else db.remove)(parse_atom(text))
+                # One engine pair per store state: tables accumulate
+                # across the query stream, the case the memo serves.
+                engine = QSQNEngine(rule_base)
+                reference = GlobalVersionQSQN(rule_base)
+                for text in queries:
+                    query = parse_query(text)
+                    runs = []
+                    for candidate in (engine, reference):
+                        proof = candidate.prove(query, db)
+                        answers = list(candidate.answers(query, db))
+                        reductions = proof.trace.reductions + (
+                            answers[-1].trace.reductions if answers else 0
+                        )
+                        runs.append((
+                            proof.proved,
+                            proof.substitution,
+                            [answer.substitution for answer in answers],
+                            reductions,
+                        ))
+                    (*got, spent), (*want, budget) = runs
+                    where = f"{shape} seed {seed} step {step}: {text}"
+                    assert got == want, where
+                    assert spent <= budget, where
+                assert list(engine._state(db).ans) == list(
+                    reference._state(db).ans
+                ), f"{shape} seed {seed} step {step}"
+
+    @staticmethod
+    def hierarchy(seed, members=120, divisions=4):
+        """A seeded org chart: every member reports to an earlier
+        member of its division, and ``m0`` heads the divisions."""
+        rng = random.Random(seed)
+        lines = []
+        staff = [[head] for head in range(1, divisions + 1)]
+        for head in range(1, divisions + 1):
+            lines.append(f"parent(m0, m{head}).")
+        for member in range(divisions + 1, members):
+            division = staff[rng.randrange(divisions)]
+            lines.append(f"parent(m{rng.choice(division)}, m{member}).")
+            division.append(member)
+        reads = []
+        for index in range(12):
+            x, y = rng.randrange(members), rng.randrange(members)
+            name = ("above", "below", "peer")[index % 3]
+            reads.append(parse_query(f"{name}(m{x}, m{y})?"))
+        return Database.from_program("\n".join(lines)), reads
+
+    def test_window_growth_is_flat(self):
+        rules = parse_program(HIERARCHY)
+        for seed in range(3):
+            db, reads = self.hierarchy(seed)
+            assert len(set(reads)) == len(reads)
+            engine = QSQNEngine(rules)
+            for query in reads:
+                warm = engine.prove(query, db).trace.reductions
+                cold = QSQNEngine(rules).prove(query, db).trace.reductions
+                # Earlier reads in the same store generation may only
+                # help: never re-run an activation they left behind.
+                assert warm <= 2 * cold, (seed, str(query), warm, cold)
+            # A repeated read serves from the tables: nothing runs.
+            again = engine.prove(reads[-1], db).trace
+            assert again.cost == 0.0 and again.reductions == 0

@@ -70,11 +70,12 @@ def _suite() -> List[Tuple[str, Callable, List[str]]]:
         (
             # Goal-directed set-at-a-time evaluation vs. both
             # baselines: the deterministic metrics pin the three-way
-            # answer agreement and QSQN's billed prove cost;
-            # wall_seconds is the net-evaluation speed trend.
+            # answer agreement, QSQN's billed prove cost and the
+            # activations its drain runs; wall_seconds is the
+            # net-evaluation speed trend.
             "qsqn",
             lambda: experiment_qsqn(nodes=48, proves=100),
-            ["answers", "qsqn_prove_cost", "sg_pairs"],
+            ["answers", "qsqn_prove_cost", "qsqn_activations", "sg_pairs"],
         ),
         ("distributed", experiment_distributed, []),
         (
@@ -147,6 +148,25 @@ def run_suite() -> Dict[str, Any]:
             "wall_seconds": round(elapsed, 4),
         }
     return experiments
+
+
+def drift(
+    committed: Dict[str, Any], experiments: Dict[str, Any]
+) -> List[str]:
+    """One line per deterministic metric that differs from the
+    committed snapshot: ``leg.key: committed -> current``."""
+    lines = []
+    for name, info in experiments.items():
+        recorded = committed.get("experiments", {}).get(name)
+        if recorded is None:
+            lines.append(f"{name}: not in the committed snapshot")
+            continue
+        before, after = recorded.get("metrics", {}), info["metrics"]
+        for key in sorted(set(before) | set(after)):
+            old, new = before.get(key, "missing"), after.get(key, "missing")
+            if old != new:
+                lines.append(f"{name}.{key}: {old} -> {new}")
+    return lines
 
 
 def load_trajectory() -> List[Tuple[int, Dict[str, Any]]]:
@@ -228,13 +248,11 @@ def main() -> int:
             return 1
         with open(out_path) as handle:
             committed = json.load(handle)
-        mismatches = []
-        for name, info in experiments.items():
-            recorded = committed.get("experiments", {}).get(name, {})
-            if recorded.get("metrics") != info["metrics"]:
-                mismatches.append(name)
+        mismatches = drift(committed, experiments)
         if mismatches:
-            print(f"deterministic metrics drifted: {', '.join(mismatches)}")
+            print("deterministic metrics drifted (committed -> current):")
+            for line in mismatches:
+                print(f"  {line}")
             return 1
         print("deterministic metrics match the committed snapshot")
     else:
