@@ -28,7 +28,7 @@ lint:
 
 ## Re-run the pinned perf suite and refresh this PR's BENCH_<n>.json
 ## (see tools/bench_trajectory.py for the trajectory story).
-BENCH_LABEL ?= 12
+BENCH_LABEL ?= 13
 bench-trajectory:
 	$(PYTHON) tools/bench_trajectory.py --label $(BENCH_LABEL)
 

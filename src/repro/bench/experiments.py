@@ -1654,6 +1654,10 @@ def experiment_engine(
         "path_facts": path_facts,
         "answers": len(answers),
         "prove_cost": prove_cost,
+        # Work counters: the search's shape, independent of its speed.
+        "prove_reductions": answer.trace.reductions,
+        "prove_retrievals": len(answer.trace.retrievals),
+        "answers_cost": answers[-1].trace.cost if answers else 0.0,
         "proves": proves,
         "nodes": nodes,
         "timings": {name: round(value, 4) for name, value in timings.items()},

@@ -23,11 +23,14 @@ substrate tests and the first-``k`` variant of Section 5.2.
 
 Reduction attempts run over the compiled
 :class:`~repro.datalog.rules.RulePlan` of each rule: the goal is
-unified against the plan's positional head slots directly, and fresh
-variables are minted only for body slots the goal left unbound.  This
-replaces the original per-attempt ``rename_apart`` + ``unify`` +
-``Substitution`` churn, which dominated the engine profile, while
-charging the identical cost and producing the identical trace.
+unified against the plan's positional head slots directly into a slot
+frame, and fresh variables are minted only for body slots the goal
+left unbound.  A search keeps one mutable binding store, undone on
+backtracking by a trail, and pending goals are (body literal, frame)
+cells of a linked list, so no step copies a substitution, a goal list
+or an atom; atoms are built only for retrievals, whose patterns the
+trace records.  The charged cost and the trace are identical to those
+of a search that composes a fresh ``Substitution`` per step.
 """
 
 from __future__ import annotations
@@ -143,19 +146,81 @@ class Answer:
     trace: ProofTrace
 
 
-#: A pending subgoal on the resolution stack: the (possibly non-ground)
-#: atom, its polarity, and the canonical keys of its branch ancestors.
-_Goal = Tuple[Atom, bool, FrozenSet[tuple]]
+#: The pending conjunction is a cons list of ``(literal, frame,
+#: ancestry, rest)`` cells, ``None`` when empty.  ``literal`` is a
+#: compiled :class:`~repro.datalog.rules.LiteralPlan` read through
+#: ``frame``, the slot array of the reduction that introduced it, or a
+#: :class:`_Probe` whose arguments are already terms (frame ``None``);
+#: ``ancestry`` holds the variant keys of the goal's branch ancestors.
+_Goals = Optional[tuple]
+
+_NO_ANCESTORS: FrozenSet[tuple] = frozenset()
 
 
-def _deref(term: Term, outer: Dict[Variable, Term]) -> Term:
-    """Follow goal-variable bindings made during one head unification."""
+class _Probe:
+    """A goal literal not taken from a rule body.
+
+    The query and the positive twin of a negated subgoal arrive as
+    terms rather than slots; a probe carries them under the attribute
+    names of :class:`~repro.datalog.rules.LiteralPlan`, so the
+    resolution loop reads both alike.
+    """
+
+    __slots__ = ("predicate", "signature", "positive", "args")
+
+    def __init__(self, predicate: str, args: Tuple[Term, ...]):
+        self.predicate = predicate
+        self.signature = (predicate, len(args))
+        self.positive = True
+        self.args = args
+
+
+def _rule_base_order(goal: Atom, rules: Sequence[Rule]) -> Sequence[Rule]:
+    """The default :data:`RuleOrder`: try rules in rule-base order."""
+    return rules
+
+
+def _resolve(term: Term, env: Dict[Variable, Term]) -> Term:
+    """Follow ``env``'s variable bindings to the representative term."""
     while type(term) is Variable:
-        bound = outer.get(term)
+        bound = env.get(term)
         if bound is None:
             return term
         term = bound
     return term
+
+
+def _restrict(query: Atom, env: Dict[Variable, Term]) -> Substitution:
+    """The answer substitution: ``env`` resolved on the query's variables."""
+    bindings: Dict[Variable, Term] = {}
+    for var in variables_of(query):
+        term = _resolve(var, env)
+        if term is not var:
+            bindings[var] = term
+    return Substitution._resolved(bindings)
+
+
+def _variant_key(predicate: str, args: Tuple[Term, ...]) -> tuple:
+    """A variant-invariant key: variables numbered by first occurrence.
+
+    Two goals are variants (equal up to variable renaming) iff their
+    keys coincide; the loop check uses this to recognize a subgoal that
+    repeats one of its own ancestors.  The key is the predicate plus,
+    per argument, the occurrence index for a variable or the constant
+    itself (``int`` never equals ``Constant``, so the two kinds of
+    entry cannot collide).
+    """
+    mapping: Dict[Variable, int] = {}
+    parts: List[object] = [predicate]
+    for arg in args:
+        if type(arg) is Variable:
+            index = mapping.get(arg)
+            if index is None:
+                index = mapping[arg] = len(mapping)
+            parts.append(index)
+        else:
+            parts.append(arg)
+    return tuple(parts)
 
 
 class TopDownEngine:
@@ -177,7 +242,7 @@ class TopDownEngine:
     ):
         self.rule_base = rule_base
         self.cost_model = cost_model or CostModel()
-        self.rule_order = rule_order or (lambda goal, rules: rules)
+        self.rule_order = rule_order or _rule_base_order
         if max_depth <= 0:
             raise ValueError("max_depth must be positive")
         self.max_depth = max_depth
@@ -197,12 +262,8 @@ class TopDownEngine:
         succeeds or the space is exhausted.
         """
         trace = ProofTrace()
-        for substitution in self._solve(
-            [(query, True, frozenset())],
-            EMPTY_SUBSTITUTION, database, trace, self.max_depth,
-        ):
-            answer = substitution.restrict(variables_of(query))
-            return Answer(True, answer, trace)
+        for env in self._search(query, database, trace):
+            return Answer(True, _restrict(query, env), trace)
         return Answer(False, EMPTY_SUBSTITUTION, trace)
 
     def answers(
@@ -217,16 +278,12 @@ class TopDownEngine:
         trace = ProofTrace()
         seen = set()
         produced = 0
-        for substitution in self._solve(
-            [(query, True, frozenset())],
-            EMPTY_SUBSTITUTION, database, trace, self.max_depth,
-        ):
-            answer = substitution.restrict(variables_of(query))
-            key = answer.apply(query)
+        for env in self._search(query, database, trace):
+            key = tuple(_resolve(arg, env) for arg in query.args)
             if key in seen:
                 continue
             seen.add(key)
-            yield Answer(True, answer, trace)
+            yield Answer(True, _restrict(query, env), trace)
             produced += 1
             if limit is not None and produced >= limit:
                 return
@@ -239,184 +296,156 @@ class TopDownEngine:
     # Resolution core
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _canonical(atom: Atom) -> tuple:
-        """A variant-invariant key: variables numbered by first occurrence.
+    def _search(
+        self, query: Atom, database: Database, trace: ProofTrace
+    ) -> Iterator[Dict[Variable, Term]]:
+        """Yield the proof's binding store once per derivation of ``query``.
 
-        Two atoms are variants (equal up to variable renaming) iff
-        their canonical keys coincide; the loop check below uses this
-        to recognize a subgoal that repeats one of its own ancestors.
-        The key is a tuple of the predicate plus, per argument, the
-        occurrence index for a variable or the constant itself — no
-        string rendering (``int`` never equals ``Constant``, so the
-        two kinds of entry cannot collide).
-        """
-        mapping: Dict[Variable, int] = {}
-        parts: List[object] = [atom.predicate]
-        for arg in atom.args:
-            if type(arg) is Variable:
-                index = mapping.get(arg)
-                if index is None:
-                    index = mapping[arg] = len(mapping)
-                parts.append(index)
-            else:
-                parts.append(arg)
-        return tuple(parts)
+        One search owns one binding store ``env`` and one ``trail`` of
+        the variables bound in it, in binding order.  Head unification
+        and retrieval bind into ``env`` and push onto the trail;
+        backtracking pops the trail back to the mark taken before the
+        step.  The store is complete only while the search is suspended
+        at a yield, so callers read their answer off it there.
 
-    def _reduce(
-        self, rule: Rule, goal: Atom, ancestry: FrozenSet[tuple]
-    ) -> Optional[Tuple[Substitution, List[_Goal]]]:
-        """Attempt one rule reduction of ``goal`` via the compiled plan.
-
-        Returns ``None`` when the head does not unify; otherwise the
-        unifier restricted to the *goal's* variables plus the
-        instantiated body as new pending goals.  Fresh variables are
-        created only for plan slots the goal left unbound.
-        """
-        plan = rule.plan
-        slots: List[Optional[Term]] = [None] * plan.nslots
-        outer: Dict[Variable, Term] = {}
-
-        for spec, garg in zip(plan.head_args, goal.args):
-            if outer and type(garg) is Variable:
-                garg = _deref(garg, outer)
-            if type(spec) is int:
-                cur = slots[spec]
-                if cur is None:
-                    slots[spec] = garg
-                    continue
-                if outer and type(cur) is Variable:
-                    cur = _deref(cur, outer)
-                if cur is garg or cur == garg:
-                    continue
-                if type(garg) is Variable:
-                    outer[garg] = cur
-                elif type(cur) is Variable:
-                    outer[cur] = garg
-                    slots[spec] = garg
-                else:
-                    return None  # two distinct constants
-            else:  # head position is a constant
-                if type(garg) is Variable:
-                    outer[garg] = spec
-                elif garg != spec:
-                    return None
-
-        if outer:
-            for var, term in outer.items():
-                while type(term) is Variable and term in outer:
-                    term = outer[term]
-                outer[var] = term
-            unifier = Substitution._resolved(outer)
-        else:
-            unifier = EMPTY_SUBSTITUTION
-
-        factory = self._factory
-        body: List[_Goal] = []
-        for lp in plan.body:
-            args: List[Term] = []
-            for spec in lp.args:
-                if type(spec) is int:
-                    value = slots[spec]
-                    if value is None:
-                        # First body occurrence of an unbound slot:
-                        # mint one fresh variable, shared thereafter.
-                        value = slots[spec] = factory(plan.slot_vars[spec].name)
-                    args.append(value)
-                else:
-                    args.append(spec)
-            body.append((Atom._make(lp.predicate, tuple(args)), lp.positive,
-                         ancestry))
-        return unifier, body
-
-    def _solve(
-        self,
-        goals: List[_Goal],
-        bindings: Substitution,
-        database: Database,
-        trace: ProofTrace,
-        depth: int,
-    ) -> Iterator[Substitution]:
-        """Prove the conjunction ``goals`` under ``bindings`` (generator).
-
-        Each pending goal carries the canonical keys of its *branch
+        Each pending goal carries the variant keys of its *branch
         ancestors*; a selected subgoal that is a variant of one of them
         is pruned (the standard Datalog loop check — any proof through
         a repeated variant subgoal has a shorter proof without it), so
         recursive rule bases terminate without relying on the depth
-        bound.
+        bound.  Only goals with rules can be ancestors, so goals without
+        rules skip the check.
         """
-        if not goals:
-            yield bindings
-            return
-        if depth <= 0:
-            return
+        env: Dict[Variable, Term] = {}
+        trail: List[Variable] = []
+        rules_of = self.rule_base.rules_by_signature().get
+        rule_order = self.rule_order
+        reorder = rule_order is not _rule_base_order
+        reduction_cost = self.cost_model.reduction
+        retrieval_cost = self.cost_model.retrieval
+        factory = self._factory
 
-        pending, positive, ancestry = goals[0]
-        goal = pending.substitute(bindings)
-        rest = goals[1:]
+        def unwind(mark: int) -> None:
+            while len(trail) > mark:
+                del env[trail.pop()]
 
-        if not positive:
-            yield from self._solve_negation(
-                goal, rest, bindings, database, trace, depth
-            )
-            return
+        def solve(goals: _Goals, depth: int) -> Iterator[bool]:
+            if goals is None:
+                yield True
+                return
+            if depth <= 0:
+                return
 
-        key = self._canonical(goal)
-        if key in ancestry:
-            return  # variant loop: this branch cannot make progress
-        child_ancestry = ancestry | {key}
-        rules = self.rule_base.rules_for(goal)
+            literal, frame, ancestry, rest = goals
+            resolved: List[Term] = []
+            for term in literal.args:
+                if type(term) is int:
+                    term = frame[term]
+                while type(term) is Variable:
+                    bound = env.get(term)
+                    if bound is None:
+                        break
+                    term = bound
+                resolved.append(term)
+            args = tuple(resolved)
+            predicate = literal.predicate
 
-        # Rule reductions first (inference-graph order: reduction arcs
-        # above retrieval arcs), then the database retrieval if the
-        # relation is extensional or mixed.
-        for rule in self.rule_order(goal, rules):
-            reduced = self._reduce(rule, goal, child_ancestry)
-            if reduced is None:
-                continue
-            unifier, body = reduced
-            trace.record_reduction(self.cost_model.reduction(rule))
-            yield from self._solve(
-                body + rest, bindings.compose(unifier), database, trace,
-                depth - 1,
-            )
+            if not literal.positive:
+                # Negation-as-failure: free variables left in the
+                # subgoal are existential *inside* the negation (rule
+                # safety keeps them local to the literal), so
+                # ``not owns(x, Y)`` succeeds iff ``x`` owns nothing.
+                # The inner search is satisficing — one owned item
+                # refutes pauperhood (Section 5.2) — and its bindings
+                # are unwound before the conjunction continues.
+                mark = len(trail)
+                refuted = next(solve(
+                    (_Probe(predicate, args), None, _NO_ANCESTORS, None),
+                    depth - 1,
+                ), False)
+                unwind(mark)
+                if not refuted:
+                    yield from solve(rest, depth)
+                return
 
-        if not rules or goal.signature in database.signatures():
-            cost = self.cost_model.retrieval(goal)
-            found = False
-            compose = bindings.compose
-            for fact_binding in database.retrieve(goal):
+            signature = literal.signature
+            rules = rules_of(signature)
+            if rules:
+                key = _variant_key(predicate, args)
+                if key in ancestry:
+                    return  # variant loop: this branch cannot make progress
+                child = ancestry | {key}
+                if reorder:
+                    rules_tried = rule_order(
+                        Atom._make(predicate, args), list(rules))
+                else:
+                    rules_tried = rules
+                # Rule reductions first (inference-graph order:
+                # reduction arcs above retrieval arcs).
+                for rule in rules_tried:
+                    plan = rule.plan
+                    slots: List[Optional[Term]] = [None] * plan.nslots
+                    mark = len(trail)
+                    for spec, garg in zip(plan.head_args, args):
+                        if type(garg) is Variable and len(trail) != mark:
+                            garg = _resolve(garg, env)
+                        if type(spec) is int:
+                            cur = slots[spec]
+                            if cur is None:
+                                slots[spec] = garg
+                                continue
+                            if type(cur) is Variable and len(trail) != mark:
+                                cur = _resolve(cur, env)
+                            if cur is garg or cur == garg:
+                                continue
+                            if type(garg) is Variable:
+                                env[garg] = cur
+                                trail.append(garg)
+                            elif type(cur) is Variable:
+                                env[cur] = garg
+                                trail.append(cur)
+                                slots[spec] = garg
+                            else:
+                                break  # two distinct constants
+                        elif type(garg) is Variable:
+                            env[garg] = spec
+                            trail.append(garg)
+                        elif garg != spec:
+                            break
+                    else:
+                        # Slots past the head's first occur in the body:
+                        # mint their fresh variables in slot order, which
+                        # is their first-occurrence order in the body.
+                        slot_vars = plan.slot_vars
+                        for slot in range(plan.head_slots, plan.nslots):
+                            slots[slot] = factory(slot_vars[slot].name)
+                        trace.record_reduction(reduction_cost(rule))
+                        body = rest
+                        for body_literal in reversed(plan.body):
+                            body = (body_literal, slots, child, body)
+                        yield from solve(body, depth - 1)
+                    unwind(mark)
+
+            # Then the database retrieval, if the relation is
+            # extensional or mixed: exactly one ``retrieve`` call per
+            # attempted retrieval, billed once whatever it returns.
+            if not rules or signature in database.signatures():
+                goal = Atom._make(predicate, args)
+                cost = retrieval_cost(goal)
+                found = False
+                for fact_binding in database.retrieve(goal):
+                    if not found:
+                        trace.record_retrieval(goal, True, cost)
+                        found = True
+                    mark = len(trail)
+                    bindings = fact_binding._bindings
+                    env.update(bindings)
+                    trail.extend(bindings)
+                    yield from solve(rest, depth)
+                    unwind(mark)
                 if not found:
-                    trace.record_retrieval(goal, True, cost)
-                    found = True
-                yield from self._solve(
-                    rest, compose(fact_binding), database, trace, depth
-                )
-            if not found:
-                trace.record_retrieval(goal, False, cost)
+                    trace.record_retrieval(goal, False, cost)
 
-    def _solve_negation(
-        self,
-        atom: Atom,
-        rest: List[_Goal],
-        bindings: Substitution,
-        database: Database,
-        trace: ProofTrace,
-        depth: int,
-    ) -> Iterator[Substitution]:
-        """Negation-as-failure: succeed iff the subgoal has no proof.
-
-        Free variables remaining in the subgoal are read as
-        existentially quantified *inside* the negation (the rule safety
-        check guarantees they are local to the literal), so
-        ``not owns(x, Y)`` succeeds iff ``x`` owns nothing.  The inner
-        satisficing search is itself the pattern Section 5.2
-        highlights — one owned item suffices to refute pauperhood.
-        """
-        for _ in self._solve(
-            [(atom, True, frozenset())],
-            EMPTY_SUBSTITUTION, database, trace, depth - 1,
-        ):
-            return  # a proof exists, so the negation fails
-        yield from self._solve(rest, bindings, database, trace, depth)
+        for _ in solve((_Probe(query.predicate, query.args), None,
+                        _NO_ANCESTORS, None), self.max_depth):
+            yield env

@@ -19,7 +19,8 @@ Query forms (``q^(b,f,...)``, Section 2 of the paper) are modelled by
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (Dict, Iterable, Iterator, List, Mapping, Optional, Sequence,
+                    Set, Tuple)
 
 from ..errors import EvaluationError, StratificationError
 from .terms import Atom, Substitution, Variable, variables_of
@@ -99,9 +100,11 @@ class RulePlan:
 
     ``slot_vars[i]`` is the rule's original variable for slot ``i`` —
     the placeholder the bottom-up join uses in retrieval patterns.
+    The head's variables take slots ``0 .. head_slots - 1``; every later
+    slot first occurs in the body, in slot order.
     """
 
-    __slots__ = ("nslots", "slot_vars", "head_args", "body",
+    __slots__ = ("nslots", "head_slots", "slot_vars", "head_args", "body",
                  "positive", "negated")
 
     def __init__(self, rule: "Rule") -> None:
@@ -110,6 +113,7 @@ class RulePlan:
         slot_of: Dict[Variable, int] = {}
         for var in rule.head.variables():
             slot_of.setdefault(var, len(slot_of))
+        self.head_slots = len(slot_of)
         for literal in rule.body:
             for var in literal.atom.variables():
                 slot_of.setdefault(var, len(slot_of))
@@ -351,6 +355,14 @@ class RuleBase:
     def rules_for(self, goal: Atom) -> List[Rule]:
         """Rules whose head has the same signature as ``goal``."""
         return list(self._by_head.get(goal.signature, ()))
+
+    def rules_by_signature(self) -> Mapping[Tuple[str, int], List[Rule]]:
+        """The live head-signature index behind :meth:`rules_for`.
+
+        Returned without copying for the SLD engine, which looks rules
+        up once per selected goal — treat it as read-only.
+        """
+        return self._by_head
 
     def rule_named(self, name: str) -> Rule:
         """Look up a rule by its label; raises :class:`KeyError` if absent."""

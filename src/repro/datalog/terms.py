@@ -24,8 +24,8 @@ representation is tuned accordingly:
 * :class:`Variable` and :class:`Constant` are **interned** through a
   bounded table, so the working set compares by identity first (the
   table stops growing past its cap instead of evicting, which keeps a
-  long-lived serving process from leaking through fresh-variable
-  churn);
+  long-lived serving process from leaking through term churn); the
+  fresh variables of resolution, each minted once, bypass it;
 * :class:`Atom` precomputes ``signature`` and ``is_ground`` as plain
   attributes and exposes the trusted fast constructor
   :meth:`Atom._make` for callers (the compiled rule plans, the fact
@@ -49,8 +49,8 @@ __all__ = [
 
 #: Interning stops (new objects are still created, just not remembered)
 #: once a table reaches this many entries, bounding memory under
-#: adversarial workloads such as fresh-variable churn in a long-lived
-#: serving process.
+#: adversarial workloads such as term churn in a long-lived serving
+#: process.
 _INTERN_LIMIT = 1 << 16
 
 
@@ -145,11 +145,22 @@ class Variable(Term):
             return cached
         if not isinstance(name, str) or not name:
             raise TypeError("Variable name must be a non-empty string")
-        self = super().__new__(cls)
-        self.name = name
-        self._hash = hash((Variable, name))
+        self = cls._uninterned(name)
         if len(table) < _INTERN_LIMIT:
             table[name] = self
+        return self
+
+    @classmethod
+    def _uninterned(cls, name: str) -> "Variable":
+        """Trusted constructor that bypasses the intern table.
+
+        For names minted once and never looked up again (the fresh
+        variables of resolution): interning them would only fill the
+        table.  The result equals and hashes like ``Variable(name)``.
+        """
+        self = object.__new__(cls)
+        self.name = name
+        self._hash = hash((Variable, name))
         return self
 
     def substitute(self, subst: "Substitution") -> Term:
@@ -203,7 +214,7 @@ class Atom:
         self.predicate = predicate
         self.args: Tuple[Term, ...] = tuple(make_term(a) for a in args)
         self.signature = (predicate, len(self.args))
-        self.is_ground = all(type(a) is not Variable for a in self.args)
+        self.is_ground = Variable not in map(type, self.args)
         self._hash = hash((Atom, predicate, self.args))
 
     @classmethod
@@ -215,7 +226,7 @@ class Atom:
         atom.predicate = predicate
         atom.args = args
         atom.signature = (predicate, len(args))
-        atom.is_ground = all(type(a) is not Variable for a in args)
+        atom.is_ground = Variable not in map(type, args)
         atom._hash = hash((Atom, predicate, args))
         return atom
 

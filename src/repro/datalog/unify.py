@@ -134,6 +134,9 @@ class fresh_variable_factory:
 
     Produced names look like ``X#3`` — the ``#`` cannot appear in parsed
     variable names, so fresh variables never collide with user ones.
+    Each name is minted once, so the variables are left out of the
+    :class:`~repro.datalog.terms.Variable` intern table, which they
+    would only fill.
     """
 
     def __init__(self):
@@ -141,7 +144,7 @@ class fresh_variable_factory:
 
     def __call__(self, base: str = "V") -> Variable:
         root = base.split("#", 1)[0]
-        return Variable(f"{root}#{next(self._counter)}")
+        return Variable._uninterned(f"{root}#{next(self._counter)}")
 
 
 def rename_apart(atoms: Tuple[Atom, ...],

@@ -60,12 +60,16 @@ def _suite() -> List[Tuple[str, Callable, List[str]]]:
         (
             # Raw Datalog substrate speed: repeated proves, answer
             # enumeration, both fixpoints.  The deterministic metrics
-            # pin search behaviour (a prove-cost change means the
-            # engine explores differently); wall_seconds is the
-            # hot-path speed trend.
+            # pin search behaviour (a prove-cost change, or a change in
+            # the reductions, retrievals or enumeration cost behind it,
+            # means the engine explores differently); wall_seconds is
+            # the hot-path speed trend.
             "engine",
             lambda: experiment_engine(nodes=60, proves=200),
-            ["path_facts", "answers", "prove_cost"],
+            [
+                "path_facts", "answers", "prove_cost", "prove_reductions",
+                "prove_retrievals", "answers_cost",
+            ],
         ),
         (
             # Goal-directed set-at-a-time evaluation vs. both
