@@ -13,24 +13,22 @@ naive fixpoint is retained both as the correctness oracle for the
 semi-naive one (property-tested equal) and as a baseline in the engine
 bench.
 
-Rule joins run over the compiled
-:class:`~repro.datalog.rules.RulePlan`: body literals are joined
-through the database's per-argument hash indexes into a positional
-slot array (no ``Substitution`` objects, no per-level atom
-re-substitution), and the join order is chosen greedily by
-bound-position selectivity — most bound positions first, smaller
-relation on ties — which is deterministic and independent of hash
-seeds.
+Rule joins run the shared :func:`~repro.datalog.rules.slot_join`
+kernel over the compiled :class:`~repro.datalog.rules.RulePlan`: body
+literals are joined through the database's per-argument hash indexes
+into a positional slot array (no ``Substitution`` objects), and the
+join order is chosen greedily by bound-position selectivity — most
+bound positions first, smaller relation on ties — which is
+deterministic and independent of hash seeds.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..errors import EvaluationError
 from .database import Database
-from .rules import LiteralPlan, Rule, RuleBase
-from .terms import Atom
+from .rules import LiteralPlan, Rule, RuleBase, instantiate, slot_join
+from .terms import Atom, Term, Variable
 
 __all__ = ["naive_evaluate", "seminaive_evaluate", "BottomUpEngine"]
 
@@ -70,99 +68,49 @@ def _join_order(
     return tuple(ordered)
 
 
-def _join_rule(rule: Rule, facts: Database, required: Optional[Database] = None,
-               negatives: Optional[Database] = None) -> Iterator[Atom]:
+def _join_rule(rule: Rule, facts: Database,
+               required: Optional[Database] = None) -> Iterator[Atom]:
     """All head instances derivable from ``rule`` over ``facts``.
 
-    When ``required`` is given (semi-naive delta), at least one positive
-    body literal must match a fact in ``required``.  Negated literals
-    are checked against ``negatives`` (the finished lower strata) —
-    callers guarantee stratification, so this is sound.
+    When ``required`` is given (semi-naive delta), at least one of the
+    facts the positive literals matched must be in ``required``.
+    Negated literals are then checked against ``facts`` — callers
+    evaluate stratum by stratum, so the negated relations are final.
     """
-    negatives = negatives if negatives is not None else facts
     plan = rule.plan
-    positives = _join_order(plan.positive, facts)
-    negateds = plan.negated
-    slots: List[Optional[object]] = [None] * plan.nslots
-    slot_vars = plan.slot_vars
-    n_positive = len(positives)
-    # Wrapped databases (e.g. fault injectors) may not expose the
-    # fact-level iterator; fall back to enumerating via retrieve.
-    facts_matching = getattr(facts, "facts_matching", None) \
-        or (lambda pattern: _matching_via_retrieve(facts, pattern))
-
-    def blocked_by_negation() -> bool:
-        for lp in negateds:
-            args: List[object] = []
-            ground = True
-            for spec in lp.args:
-                if type(spec) is int:
-                    value = slots[spec]
-                    if value is None:
-                        # Existential local variable: blocked iff any
-                        # fact matches the partially bound goal.
-                        value = slot_vars[spec]
-                        ground = False
-                    args.append(value)
-                else:
-                    args.append(spec)
-            goal = Atom._make(lp.predicate, tuple(args))
-            if not ground:
-                if negatives.succeeds(goal):
-                    return True
-            elif goal in negatives:
-                return True
-        return False
-
-    def join(level: int, used_delta: bool) -> Iterator[bool]:
-        if level == n_positive:
-            if required is not None and not used_delta:
-                return
-            if not blocked_by_negation():
-                yield True
+    order = _join_order(plan.positive, facts)
+    if required is not None:
+        # Only literals over a relation with delta facts can match one.
+        delta_signatures = required.signatures()
+        delta_levels = [level for level, literal in enumerate(order)
+                        if literal.signature in delta_signatures]
+        if not delta_levels:
             return
-        lp = positives[level]
-        specs = lp.args
-        args = []
-        for spec in specs:
-            if type(spec) is int:
-                value = slots[spec]
-                args.append(value if value is not None else slot_vars[spec])
+    slots: List[Optional[Term]] = [None] * plan.nslots
+    slot_vars = plan.slot_vars
+    negated = plan.negated
+    for matched in slot_join(order, slots, slot_vars, facts.facts_matching):
+        if required is not None:
+            for level in delta_levels:
+                if matched[level] in required:
+                    break
             else:
-                args.append(spec)
-        pattern = Atom._make(lp.predicate, tuple(args))
-        for fact in facts_matching(pattern):
-            bound_here: List[int] = []
-            for spec, f_arg in zip(specs, fact.args):
-                if type(spec) is int and slots[spec] is None:
-                    slots[spec] = f_arg
-                    bound_here.append(spec)
-            in_delta = used_delta or (required is not None and fact in required)
-            yield from join(level + 1, in_delta)
-            for spec in bound_here:
-                slots[spec] = None
-
-    head_predicate = rule.head.predicate
-    head_args = plan.head_args
-    for _ in join(0, False):
-        args = []
-        for spec in head_args:
-            if type(spec) is int:
-                value = slots[spec]
-                if value is None:
-                    raise EvaluationError(
-                        f"derived non-ground head from {rule}"
-                    )
-                args.append(value)
-            else:
-                args.append(spec)
-        yield Atom._make(head_predicate, tuple(args))
+                continue
+        if negated and _blocked(negated, slots, slot_vars, facts):
+            continue
+        yield instantiate(plan.head, slots, slot_vars)
 
 
-def _matching_via_retrieve(facts, pattern: Atom) -> Iterator[Atom]:
-    """Fact enumeration through the public ``retrieve`` API only."""
-    for binding in facts.retrieve(pattern):
-        yield pattern.substitute(binding)
+def _blocked(negated: Tuple[LiteralPlan, ...], slots: List[Optional[Term]],
+             slot_vars: Tuple[Variable, ...], facts: Database) -> bool:
+    """Whether some negated literal holds under ``slots``.  An unbound
+    slot is a literal-local existential variable: the literal holds iff
+    any fact matches the partially bound goal."""
+    for literal in negated:
+        goal = instantiate(literal, slots, slot_vars)
+        if (goal in facts) if goal.is_ground else facts.succeeds(goal):
+            return True
+    return False
 
 
 def _strata_rules(rule_base: RuleBase) -> List[List[Rule]]:

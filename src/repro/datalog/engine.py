@@ -386,7 +386,7 @@ class TopDownEngine:
                     plan = rule.plan
                     slots: List[Optional[Term]] = [None] * plan.nslots
                     mark = len(trail)
-                    for spec, garg in zip(plan.head_args, args):
+                    for spec, garg in zip(plan.head.args, args):
                         if type(garg) is Variable and len(trail) != mark:
                             garg = _resolve(garg, env)
                         if type(spec) is int:

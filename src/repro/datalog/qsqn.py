@@ -15,23 +15,23 @@ The net:
   (goal patterns), canonicalized so that variants collapse to one
   entry — the adornment structure of the QSQ literature;
 * an **answer relation** per predicate tables every derived fact;
-* per rule, a compiled :class:`_RuleNet` of edges — one per body
-  literal, classified once as extensional or intensional, positive or
-  negated — through which an *activation* propagates a subquery
-  left-to-right, joining each edge against the database (extensional)
-  or the answer relation (intensional) and registering child
-  subqueries as it goes.
+* per rule, an *activation* propagates a subquery through the body:
+  the shared :func:`~repro.datalog.rules.slot_join` kernel joins the
+  positive literals left to right, each against the database
+  (extensional) or the answer relation (intensional, registering the
+  child subquery as it goes), and every complete binding then passes
+  the negated literals.
 
 Evaluation drains a fixpoint: activations run until no activation
 derives a new answer or registers a new subquery.  Stratified negation
-falls back to tuple-at-a-time: when an activation reaches a negated
-edge, the (partially) bound goal's *own* subquery is registered and
+falls back to tuple-at-a-time: when a binding reaches a negated
+literal, the (partially) bound goal's *own* subquery is registered and
 the strictly-lower strata are drained to completion before the
 emptiness test — sound because stratification guarantees the negated
 predicate's stratum lies strictly below the head's.
 
-Everything rides the PR-7 hot-path machinery: rules are joined through
-their compiled :class:`~repro.datalog.rules.RulePlan` slot arrays,
+Everything rides the compiled hot-path machinery: rules are joined
+through their :class:`~repro.datalog.rules.RulePlan` slot arrays,
 facts are enumerated via :meth:`Database.facts_matching`, and atoms
 are built with the trusted :meth:`Atom._make` constructor.  All
 iteration runs over insertion-ordered dicts, so answer enumeration
@@ -46,46 +46,15 @@ invalidates the whole net.
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Dict, Iterator, List, Optional, Tuple
+from itertools import chain, product
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .database import Database
 from .engine import Answer, CostModel, ProofTrace
-from .rules import LiteralPlan, Rule, RuleBase
+from .rules import Rule, RuleBase, instantiate, slot_join
 from .terms import Atom, Constant, Substitution, Term, Variable
 
 __all__ = ["QSQNEngine"]
-
-#: Edge kinds, fixed at net-compile time from the rule base alone.
-_EDB = 0       # extensional: join against the fact database
-_IDB = 1       # intensional: register subquery, join against answers
-_NEG_EDB = 2   # negated extensional: satisficing database probe
-_NEG_IDB = 3   # negated intensional: drain lower strata, then test
-
-
-class _RuleNet:
-    """One rule compiled to net edges: the per-rule node/edge structure.
-
-    ``edges`` lists the body literals in processing order — positive
-    literals first (original body order), then negated literals — each
-    tagged with its compile-time kind.  Processing negations after all
-    positives mirrors the bottom-up join, so a negated literal's
-    non-local variables are bound before the emptiness test no matter
-    where the literal sits in the source rule.
-    """
-
-    __slots__ = ("rule", "plan", "edges")
-
-    def __init__(self, rule: Rule, idb) -> None:
-        self.rule = rule
-        self.plan = rule.plan
-        edges: List[Tuple[int, LiteralPlan]] = []
-        for lp in self.plan.positive:
-            edges.append((_IDB if lp.signature in idb else _EDB, lp))
-        for lp in self.plan.negated:
-            edges.append((_NEG_IDB if lp.signature in idb else _NEG_EDB, lp))
-        self.edges = tuple(edges)
-
 
 class _NetState:
     """The mutable net state for one database state.
@@ -134,13 +103,11 @@ class QSQNEngine:
         self.rule_base = rule_base
         self.cost_model = cost_model or CostModel()
         self._idb = rule_base.idb_predicates()
-        # Net compilation: one _RuleNet per rule, grouped by head
-        # signature in rule-base order.
-        self._net: Dict[Tuple[str, int], List[_RuleNet]] = {}
-        for rule in rule_base:
-            self._net.setdefault(rule.head.signature, []).append(
-                _RuleNet(rule, self._idb)
-            )
+        # The net's rules, grouped by head signature in rule-base order.
+        self._net: Dict[Tuple[str, int], List[Rule]] = {
+            signature: list(rules)
+            for signature, rules in rule_base.rules_by_signature().items()
+        }
         # Stratum levels gate the nested drains under negation.  The
         # stratification raises on non-stratifiable rule bases, the
         # same contract the bottom-up engine enforces.
@@ -212,7 +179,7 @@ class QSQNEngine:
             self._register(state, signature, query)
             self._drain(state, database, trace, self._top_level)
         seen: Dict[Atom, None] = {}
-        if signature not in self._net or signature in database.signatures():
+        if signature not in self._idb or signature in database.signatures():
             cost = self.cost_model.retrieval(query)
             found = False
             for fact in database.facts_matching(query):
@@ -291,12 +258,12 @@ class QSQNEngine:
             for signature in list(state.input):
                 if self._level.get(signature, 0) > upto:
                     continue
-                nets = self._net.get(signature)
-                if not nets:
+                rules = self._net.get(signature)
+                if not rules:
                     continue
                 for key in list(state.input[signature]):
                     pattern = state.input[signature][key]
-                    for index, net in enumerate(nets):
+                    for index, rule in enumerate(rules):
                         memo = (signature, key, index)
                         looked = state.processed.get(memo)
                         if looked is not None and all(
@@ -310,7 +277,7 @@ class QSQNEngine:
                         # emissions answer an earlier lookup must run
                         # again, since that join missed those facts.
                         state.processed[memo] = self._activate(
-                            state, net, pattern, database, trace
+                            state, rule, pattern, database, trace
                         )
                         if state.version != before:
                             changed = True
@@ -319,23 +286,27 @@ class QSQNEngine:
     def _activate(
         self,
         state: _NetState,
-        net: _RuleNet,
+        rule: Rule,
         subquery: Atom,
         database: Database,
         trace: ProofTrace,
     ) -> Dict[tuple, int]:
-        """Propagate one subquery through one rule's net edges.
+        """Propagate one subquery through one rule.
 
         The subquery is unified (relaxed) against the head's slot
-        array; the supplementary tuples then flow through the edges by
-        a backtracking join that binds slots straight from fact
-        argument tuples — the same representation the bottom-up join
-        uses, but seeded by the subquery's constants.  Returns the
-        ``heard`` count of each subquery key at its first lookup."""
-        plan = net.plan
+        array; :func:`~repro.datalog.rules.slot_join` then joins the
+        positive literals, seeded by the subquery's constants, through
+        ``lookup``: a stored relation is probed (and billed), an
+        intensional one registers its subquery and reads the answers
+        tabled so far.  Each complete binding passes the negated
+        literals in body order, tuple-at-a-time, before its head is
+        tabled.  Returns the ``heard`` count of each subquery key at
+        its first lookup."""
+        plan = rule.plan
         slots: List[Optional[Term]] = [None] * plan.nslots
         looked: Dict[tuple, int] = {}
-        for spec, q_arg in zip(plan.head_args, subquery.args):
+        head = plan.head
+        for spec, q_arg in zip(head.args, subquery.args):
             if type(q_arg) is Variable:
                 continue  # relaxed: a subquery variable binds nothing
             if type(spec) is int:
@@ -346,99 +317,66 @@ class QSQNEngine:
                     return looked  # repeated head slot, distinct constants
             elif spec != q_arg:
                 return looked  # head constant conflicts with the subquery
-        trace.record_reduction(self.cost_model.reduction(net.rule))
+        trace.record_reduction(self.cost_model.reduction(rule))
 
         slot_vars = plan.slot_vars
-        edges = net.edges
-        n_edges = len(edges)
+        negated = plan.negated
+        idb = self._idb
         signatures = database.signatures()
-        head_signature = net.rule.head.signature
-        head_predicate = net.rule.head.predicate
+        head_signature = head.signature
         heard = state.heard
-        head_args = plan.head_args
+        answers = state.ans
         retrieval = self.cost_model.retrieval
 
-        def pattern_for(lp: LiteralPlan) -> Atom:
-            args: List[Term] = []
-            for spec in lp.args:
-                if type(spec) is int:
-                    value = slots[spec]
-                    args.append(value if value is not None
-                                else slot_vars[spec])
-                else:
-                    args.append(spec)
-            return Atom._make(lp.predicate, tuple(args))
+        def lookup(pattern: Atom) -> Iterable[Atom]:
+            signature = pattern.signature
+            if signature in idb and signature not in signatures:
+                return self._tabled(state, pattern, looked)
+            facts = list(database.facts_matching(pattern))
+            trace.record_retrieval(pattern, bool(facts), retrieval(pattern))
+            if signature not in idb:
+                return facts
 
-        def emit() -> None:
-            args: List[Term] = []
-            for spec in head_args:
-                if type(spec) is int:
-                    value = slots[spec]
-                    if value is None:
-                        # Unreachable for safe rules: every head
-                        # variable occurs in a positive body literal.
-                        return
-                    args.append(value)
-                else:
-                    args.append(spec)
-            if state.ans.add(Atom._make(head_predicate, tuple(args))):
+            # A mixed relation: its subquery is registered and its
+            # answers read once the stored facts have been joined.
+            def unstored() -> Iterator[Atom]:
+                for fact in self._tabled(state, pattern, looked):
+                    if fact not in database:  # joined above
+                        yield fact
+
+            return chain(facts, unstored())
+
+        for _ in slot_join(plan.positive, slots, slot_vars, lookup):
+            if negated and any(
+                self._negation_blocked(
+                    state, instantiate(literal, slots, slot_vars),
+                    database, trace, looked,
+                )
+                for literal in negated
+            ):
+                continue
+            fact = instantiate(head, slots, slot_vars)
+            if answers.add(fact):
                 state.version += 1
                 # Count it for every registered subquery key it answers.
-                for bound in product(*[(arg, None) for arg in args]):
+                for bound in product(*[(arg, None) for arg in fact.args]):
                     if head_signature + bound in heard:
                         heard[head_signature + bound] += 1
-
-        def walk(level: int) -> None:
-            if level == n_edges:
-                emit()
-                return
-            kind, lp = edges[level]
-            if kind >= _NEG_EDB:
-                goal = pattern_for(lp)
-                if not self._negation_blocked(
-                    state, goal, kind, database, trace, looked
-                ):
-                    walk(level + 1)
-                return
-            pattern = pattern_for(lp)
-            specs = lp.args
-
-            def extend(fact: Atom) -> None:
-                bound_here: List[int] = []
-                for spec, f_arg in zip(specs, fact.args):
-                    if type(spec) is int and slots[spec] is None:
-                        slots[spec] = f_arg
-                        bound_here.append(spec)
-                walk(level + 1)
-                for spec in bound_here:
-                    slots[spec] = None
-
-            stored = kind == _EDB or lp.signature in signatures
-            if stored:
-                cost = retrieval(pattern)
-                found = False
-                for fact in database.facts_matching(pattern):
-                    if not found:
-                        trace.record_retrieval(pattern, True, cost)
-                        found = True
-                    extend(fact)
-                if not found:
-                    trace.record_retrieval(pattern, False, cost)
-            if kind == _IDB:
-                key = self._register(state, lp.signature, pattern)
-                looked.setdefault(key, heard[key])
-                for fact in list(state.ans.facts_matching(pattern)):
-                    if not (stored and fact in database):  # joined above
-                        extend(fact)
-
-        walk(0)
         return looked
+
+    def _tabled(
+        self, state: _NetState, pattern: Atom, looked: Dict[tuple, int]
+    ) -> List[Atom]:
+        """Register ``pattern``'s subquery, note its ``heard`` count in
+        ``looked`` (first lookup wins), and snapshot its answers so far."""
+        key = self._register(state, pattern.signature, pattern)
+        looked.setdefault(key, state.heard[key])
+        return list(state.ans.facts_matching(pattern))
 
     def _negation_blocked(
         self,
         state: _NetState,
         goal: Atom,
-        kind: int,
         database: Database,
         trace: ProofTrace,
         looked: Dict[tuple, int],
@@ -451,8 +389,8 @@ class QSQNEngine:
         the goal's own subquery is registered and the strictly-lower
         strata are drained to completion first, so the answer relation
         is complete for this goal before the emptiness test."""
-        if kind == _NEG_IDB:
-            signature = goal.signature
+        signature = goal.signature
+        if signature in self._idb:
             key = self._register(state, signature, goal)
             self._drain(
                 state, database, trace, self._level.get(signature, 0)

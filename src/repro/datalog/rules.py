@@ -19,13 +19,14 @@ Query forms (``q^(b,f,...)``, Section 2 of the paper) are modelled by
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import (Dict, Iterable, Iterator, List, Mapping, Optional, Sequence,
-                    Set, Tuple)
+from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, Optional,
+                    Sequence, Set, Tuple)
 
 from ..errors import EvaluationError, StratificationError
-from .terms import Atom, Substitution, Variable, variables_of
+from .terms import Atom, Substitution, Term, Variable, variables_of
 
-__all__ = ["Literal", "Rule", "RuleBase", "QueryForm", "RulePlan", "LiteralPlan"]
+__all__ = ["Literal", "Rule", "RuleBase", "QueryForm", "RulePlan", "LiteralPlan",
+           "slot_join", "instantiate"]
 
 
 class Literal:
@@ -60,7 +61,7 @@ class Literal:
 
 
 class LiteralPlan:
-    """One body literal of a :class:`RulePlan`, in positional form.
+    """One literal (body or head) of a :class:`RulePlan`, in positional form.
 
     ``args`` holds an ``int`` slot index per variable position and the
     :class:`~repro.datalog.terms.Constant` itself per constant
@@ -91,20 +92,21 @@ class RulePlan:
     slot, once, so the engines stop paying per-attempt
     ``rename_apart`` + ``unify`` + string churn:
 
-    * the top-down engine unifies a goal against ``head_args`` directly
+    * the top-down engine unifies a goal against ``head.args`` directly
       into a slot array, creating fresh variables only for the slots
       that remain unbound and only when they occur in the body;
-    * the bottom-up engine joins ``positive`` literals over the fact
-      indexes with the same slot array, binding slots from fact
-      argument tuples instead of building ``Substitution`` objects.
+    * the bottom-up and QSQN engines join the ``positive`` literals
+      with :func:`slot_join`, binding slots from fact argument tuples
+      instead of building ``Substitution`` objects, then test the
+      ``negated`` literals and build the head with :func:`instantiate`.
 
     ``slot_vars[i]`` is the rule's original variable for slot ``i`` —
-    the placeholder the bottom-up join uses in retrieval patterns.
-    The head's variables take slots ``0 .. head_slots - 1``; every later
-    slot first occurs in the body, in slot order.
+    the placeholder the joins use in retrieval patterns.  The head's
+    variables take slots ``0 .. head_slots - 1``; every later slot
+    first occurs in the body, in slot order.
     """
 
-    __slots__ = ("nslots", "head_slots", "slot_vars", "head_args", "body",
+    __slots__ = ("nslots", "head_slots", "slot_vars", "head", "body",
                  "positive", "negated")
 
     def __init__(self, rule: "Rule") -> None:
@@ -119,10 +121,7 @@ class RulePlan:
                 slot_of.setdefault(var, len(slot_of))
         self.nslots = len(slot_of)
         self.slot_vars = tuple(slot_of)  # insertion order == slot index
-        self.head_args = tuple(
-            slot_of[arg] if isinstance(arg, Variable) else arg
-            for arg in rule.head.args
-        )
+        self.head = LiteralPlan(rule.head, True, slot_of)
         self.body = tuple(
             LiteralPlan(literal.atom, literal.positive, slot_of)
             for literal in rule.body
@@ -132,6 +131,78 @@ class RulePlan:
 
     def __repr__(self) -> str:
         return f"RulePlan({self.nslots} slots, {len(self.body)} literals)"
+
+
+def instantiate(literal: LiteralPlan, slots: List[Optional[Term]],
+                slot_vars: Tuple[Variable, ...]) -> Atom:
+    """``literal`` as an atom under ``slots``: a bound slot gives its
+    value, an unbound one the rule's own variable."""
+    return Atom._make(literal.predicate, tuple([
+        (value if (value := slots[spec]) is not None else slot_vars[spec])
+        if type(spec) is int else spec
+        for spec in literal.args
+    ]))
+
+
+def slot_join(
+    literals: Sequence[LiteralPlan],
+    slots: List[Optional[Term]],
+    slot_vars: Tuple[Variable, ...],
+    lookup: Callable[[Atom], Iterable[Atom]],
+) -> Iterator[List[Atom]]:
+    """Backtracking join of positive ``literals``, left to right, over
+    the slot array ``slots`` — the one join the bottom-up and QSQN
+    engines share.
+
+    Each literal becomes a pattern (bound slots give their values,
+    unbound ones the rule's own variable) and ``lookup(pattern)``
+    supplies the ground facts matching it.  Each fact binds the slots
+    the literal found free and the join recurses; when the literal's
+    facts run out its slots are unbound again, so ``slots`` is back as
+    the caller left it once the generator is exhausted.  ``lookup`` is
+    asked lazily, one literal at a time, in join order: the QSQN engine
+    bills probes and registers subqueries from inside it.
+
+    Yields once per complete binding, with ``slots`` bound and the
+    facts matched per literal in a list.  That list is reused: read it
+    (and ``slots``) before asking for the next binding.
+    """
+    depth = len(literals)
+    matched: List[Atom] = [None] * depth  # type: ignore[list-item]
+    if not depth:
+        return iter((matched,))
+
+    def join(level: int) -> Iterator[List[Atom]]:
+        literal = literals[level]
+        # The slots this literal binds are the same for every fact it
+        # matches (facts are ground); a slot repeated in the literal is
+        # bound twice to the one value the pattern forced on both.
+        args: List[Term] = []
+        free = []
+        for position, spec in enumerate(literal.args):
+            if type(spec) is int:
+                value = slots[spec]
+                if value is None:
+                    value = slot_vars[spec]
+                    free.append((position, spec))
+                args.append(value)
+            else:
+                args.append(spec)
+        pattern = Atom._make(literal.predicate, tuple(args))
+        deeper = level + 1 < depth
+        for fact in lookup(pattern):
+            values = fact.args
+            for position, slot in free:
+                slots[slot] = values[position]
+            matched[level] = fact
+            if deeper:
+                yield from join(level + 1)
+            else:
+                yield matched
+        for _, slot in free:
+            slots[slot] = None
+
+    return join(0)
 
 
 class Rule:

@@ -23,13 +23,12 @@ open — a corrupt store degrades to an empty one (flagged via
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import CheckpointError
-from ..persistence import backup_path, payload_checksum
+from ..persistence import backup_path, read_json_checked, write_json_atomically
 from .fingerprint import (
     DEFAULT_PATTERN_WEIGHT,
     DEFAULT_SIMILARITY_WEIGHT,
@@ -261,13 +260,11 @@ class ExperienceStore:
     # ------------------------------------------------------------------
 
     def to_payload(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
+        return {
             "format": EXPERIENCE_FORMAT,
             "version": EXPERIENCE_VERSION,
             "records": [record.to_dict() for record in self.records()],
         }
-        payload["checksum"] = payload_checksum(payload)
-        return payload
 
     @classmethod
     def from_payload(
@@ -288,62 +285,16 @@ class ExperienceStore:
         Returns the path written, or ``None`` for a memory-only store.
         """
         target = path or self.path
-        if target is None:
-            self.pending_writes = 0
-            return None
-        directory = os.path.dirname(os.path.abspath(target))
-        os.makedirs(directory, exist_ok=True)
-        payload = self.to_payload()
-        tmp_path = target + ".tmp"
-        try:
-            with open(tmp_path, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, indent=2, sort_keys=True)
-                handle.flush()
-                os.fsync(handle.fileno())
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
-        if os.path.exists(target):
-            os.replace(target, backup_path(target))
-        os.replace(tmp_path, target)
-        try:
-            dir_fd = os.open(directory, os.O_RDONLY)
-        except OSError:
-            self.pending_writes = 0
-            return target  # e.g. Windows: directories are not fsyncable
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
+        if target is not None:
+            os.makedirs(os.path.dirname(os.path.abspath(target)),
+                        exist_ok=True)
+            write_json_atomically(target, self.to_payload())
         self.pending_writes = 0
         return target
 
     @staticmethod
     def _load_payload(path: str) -> Dict[str, object]:
-        try:
-            with open(path, encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except FileNotFoundError as error:
-            raise CheckpointError(
-                "experience store not found", path
-            ) from error
-        except (json.JSONDecodeError, UnicodeDecodeError, OSError) as error:
-            raise CheckpointError(
-                f"experience store is not readable JSON: {error}", path
-            ) from error
-        if not isinstance(payload, dict):
-            raise CheckpointError(
-                "experience store is not a JSON object", path
-            )
-        recorded = payload.get("checksum")
-        if recorded is not None and recorded != payload_checksum(payload):
-            raise CheckpointError(
-                "experience store checksum mismatch", path
-            )
-        return payload
+        return read_json_checked(path, "experience store")
 
     @classmethod
     def open(cls, path: Optional[str]) -> "ExperienceStore":

@@ -24,9 +24,8 @@ does not apply to them, matching the paper's scope.
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from .datalog.database import Database
 from .experience.fingerprint import FormProfile, form_profile
@@ -63,11 +62,6 @@ from .strategies.strategy import Strategy
 from .strategies.transformations import all_sibling_swaps
 
 __all__ = ["SystemAnswer", "FormState", "SelfOptimizingQueryProcessor"]
-
-#: Sentinel distinguishing "keyword not passed" from any real value,
-#: so the deprecation shim only fires on explicit legacy usage.
-_UNSET = object()
-
 
 @dataclass(frozen=True)
 class SystemAnswer:
@@ -126,11 +120,9 @@ class SelfOptimizingQueryProcessor:
     """A query processor that gets faster on the forms it is asked.
 
     Configuration arrives as ``config=`` (a
-    :class:`~repro.serving.config.SessionConfig`); the individual
-    keywords below are a deprecated spelling of the same fields and
-    emit :class:`DeprecationWarning` (mixing them with ``config=`` is a
-    :class:`TypeError`).  ``recorder`` stays a first-class keyword: it
-    is an observer wired across objects, not a session setting.
+    :class:`~repro.serving.config.SessionConfig`), whose fields are
+    described below.  ``recorder`` is a keyword of its own: it is an
+    observer wired across objects, not a session setting.
 
     Field meanings mirror :class:`repro.learning.pib.PIB`; ``delta`` is
     the *per-form* mistake budget (each form's learner runs its own
@@ -179,51 +171,11 @@ class SelfOptimizingQueryProcessor:
     def __init__(
         self,
         rule_base: RuleBase,
-        delta: Any = _UNSET,
-        transformations_factory: Any = _UNSET,
-        test_every: Any = _UNSET,
-        max_depth: Any = _UNSET,
-        resilience: Any = _UNSET,
-        checkpoint_dir: Any = _UNSET,
-        checkpoint_every: Any = _UNSET,
-        recorder: Optional[Recorder] = None,
-        drift: Any = _UNSET,
-        experience: Any = _UNSET,
         *,
         config: Optional[SessionConfig] = None,
+        recorder: Optional[Recorder] = None,
     ):
-        legacy = {
-            name: value
-            for name, value in (
-                ("delta", delta),
-                ("transformations_factory", transformations_factory),
-                ("test_every", test_every),
-                ("max_depth", max_depth),
-                ("resilience", resilience),
-                ("checkpoint_dir", checkpoint_dir),
-                ("checkpoint_every", checkpoint_every),
-                ("drift", drift),
-                ("experience", experience),
-            )
-            if value is not _UNSET
-        }
-        if legacy:
-            if config is not None:
-                raise TypeError(
-                    "pass configuration either as config=SessionConfig(...) "
-                    "or as legacy keywords, not both "
-                    f"(got both config= and {sorted(legacy)})"
-                )
-            warnings.warn(
-                "passing "
-                + ", ".join(f"{name}=" for name in sorted(legacy))
-                + " directly to SelfOptimizingQueryProcessor is deprecated; "
-                "use config=SessionConfig(...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = SessionConfig(**legacy)
-        elif config is None:
+        if config is None:
             config = SessionConfig()
         self.config = config
         self.rule_base = rule_base

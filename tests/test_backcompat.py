@@ -1,9 +1,9 @@
-"""Backwards compatibility of the deprecated processor keywords.
+"""The processor's configuration keywords and their compatibility.
 
-The configuration home is ``config=SessionConfig(...)``; the old loose
-keywords must (a) keep configuring exactly the same processor, (b)
-emit a ``DeprecationWarning`` naming the offending keywords, and (c)
-refuse to mix with ``config=``.
+The configuration home is ``config=SessionConfig(...)``.  The old loose
+keywords (``delta=``, ``experience=`` and the rest) went through a
+deprecation window and are now rejected; ``config=`` and ``recorder=``
+construct silently.
 """
 
 import warnings
@@ -12,74 +12,20 @@ import pytest
 
 from repro import SelfOptimizingQueryProcessor, SessionConfig
 from repro.datalog.parser import parse_query
-from repro.learning.drift import DriftConfig
-from repro.resilience import ResiliencePolicy, RetryPolicy
 from repro.workloads import db1, university_rule_base
 
 
 class TestDeprecatedKeywords:
-    def test_legacy_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match="delta=.*deprecated"):
-            SelfOptimizingQueryProcessor(
-                university_rule_base(), delta=0.1
-            )
-
-    def test_warning_names_every_passed_keyword(self):
-        with pytest.warns(DeprecationWarning) as caught:
-            SelfOptimizingQueryProcessor(
-                university_rule_base(), delta=0.1, test_every=2,
-            )
-        message = str(caught[0].message)
-        assert "delta=" in message and "test_every=" in message
-
-    def test_legacy_kwargs_configure_identically(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = SelfOptimizingQueryProcessor(
-                university_rule_base(),
-                delta=0.2,
-                test_every=3,
-                max_depth=32,
-                checkpoint_every=7,
-            )
-        modern = SelfOptimizingQueryProcessor(
-            university_rule_base(),
-            config=SessionConfig(
-                delta=0.2, test_every=3, max_depth=32, checkpoint_every=7
-            ),
-        )
-        for attr in (
-            "delta", "test_every", "max_depth", "checkpoint_every",
-            "checkpoint_dir", "resilience", "drift",
-        ):
-            assert getattr(legacy, attr) == getattr(modern, attr)
-        assert legacy.config == modern.config
-
-    def test_legacy_policy_objects_carried_through(self):
-        policy = ResiliencePolicy(retry=RetryPolicy(max_attempts=2))
-        drift = DriftConfig(delta=0.05)
-        with pytest.warns(DeprecationWarning):
-            processor = SelfOptimizingQueryProcessor(
-                university_rule_base(), resilience=policy, drift=drift
-            )
-        assert processor.resilience is policy
-        assert processor.drift is drift
-        assert processor.config.resilience is policy
-
-    def test_legacy_path_still_answers_queries(self):
-        with pytest.warns(DeprecationWarning):
-            processor = SelfOptimizingQueryProcessor(
-                university_rule_base(), delta=0.05
-            )
-        answer = processor.query(parse_query("instructor(manolis)"), db1())
-        assert answer.proved and answer.learned
-
-    def test_mixing_config_and_legacy_raises(self):
-        with pytest.raises(TypeError, match="not both"):
-            SelfOptimizingQueryProcessor(
-                university_rule_base(),
-                delta=0.1,
-                config=SessionConfig(),
-            )
+    @pytest.mark.parametrize("name", [
+        "delta", "transformations_factory", "test_every", "max_depth",
+        "resilience", "checkpoint_dir", "checkpoint_every", "drift",
+        "experience",
+    ])
+    def test_legacy_keywords_rejected(self, name):
+        # The loose keywords were a deprecated spelling of SessionConfig
+        # fields; they are gone, and passing one is a plain TypeError.
+        with pytest.raises(TypeError, match=name):
+            SelfOptimizingQueryProcessor(university_rule_base(), **{name: None})
 
     def test_config_only_emits_no_warning(self):
         with warnings.catch_warnings():

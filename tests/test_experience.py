@@ -16,7 +16,7 @@ import random
 import pytest
 
 import repro
-from repro.datalog.parser import parse_atom, parse_program
+from repro.datalog.parser import parse_atom
 from repro.errors import CheckpointError
 from repro.experience import (
     ExperienceRecord,
@@ -351,24 +351,6 @@ class TestExperienceConfig:
         )
         assert changed.experience.path == "x.json"
         assert base.experience is None
-
-
-class TestLegacyKeyword:
-    def test_experience_kwarg_warns(self):
-        rules = parse_program(RULES)
-        with pytest.warns(DeprecationWarning, match="experience="):
-            repro.SelfOptimizingQueryProcessor(
-                rules, experience=ExperienceConfig.default_enabled()
-            )
-
-    def test_mixing_with_config_raises(self):
-        rules = parse_program(RULES)
-        with pytest.raises(TypeError, match="config"):
-            repro.SelfOptimizingQueryProcessor(
-                rules,
-                config=SessionConfig(),
-                experience=ExperienceConfig.default_enabled(),
-            )
 
 
 class TestSessionLifecycle:

@@ -97,7 +97,7 @@ class ComposingEngine(TopDownEngine):
         plan = rule.plan
         slots: List[Optional[Term]] = [None] * plan.nslots
         outer: Dict[Variable, Term] = {}
-        for spec, garg in zip(plan.head_args, goal.args):
+        for spec, garg in zip(plan.head.args, goal.args):
             if outer and type(garg) is Variable:
                 garg = _deref(garg, outer)
             if type(spec) is int:
