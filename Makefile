@@ -26,14 +26,14 @@ coverage-approx:
 lint:
 	ruff check src tests benchmarks examples tools
 
-## Re-run the pinned perf suite and refresh this PR's BENCH_<n>.json
-## (see tools/bench_trajectory.py for the trajectory story).
-BENCH_LABEL ?= 14
+## Re-run every registered experiment and refresh this PR's
+## BENCH_<n>.json (see tools/bench_trajectory.py for the trajectory story).
+BENCH_LABEL ?= 15
 bench-trajectory:
 	$(PYTHON) tools/bench_trajectory.py --label $(BENCH_LABEL)
 
-## Compare the suite's deterministic metrics against the committed
-## snapshot without rewriting it (the CI gate for hot-path PRs).
+## Compare the registry's pinned metrics against the committed
+## snapshot without rewriting it (the CI gate for every PR).
 bench-check:
 	$(PYTHON) tools/bench_trajectory.py --label $(BENCH_LABEL) --check
 

@@ -1,24 +1,12 @@
-"""Experiment F1: the Figure 1 / Section 2 worked example.
+"""Micro-benchmark behind F1: the exact expected-cost evaluation.
 
-Regenerates every number of the paper's ``G_A`` walk-through —
-``C[Θ₁] = 3.7``, ``C[Θ₂] = 2.8``, the per-context costs, the Note 5
-cost functions, and Section 4's ``Υ_AOT(G_A, p̂) = Θ₁`` — and times the
-exact expected-cost evaluation that underlies them.
+The F1 experiment itself (every number of the paper's ``G_A``
+walk-through) runs from the registry in ``bench_experiments.py``; this
+bench times the ``C[Θ₁] = 3.7`` evaluation that underlies it.
 """
 
-from conftest import record_report
-
-from repro.bench import experiment_figure1
 from repro.strategies.expected_cost import expected_cost_exact
 from repro.workloads import g_a, intended_probabilities, theta_1
-
-
-def test_figure1_experiment(benchmark):
-    result = benchmark.pedantic(experiment_figure1, rounds=1, iterations=1)
-    record_report(result.report())
-    assert result.all_passed
-    assert result.data["C1"] == 3.7
-    assert result.data["C2"] == 2.8
 
 
 def test_exact_expected_cost_microbench(benchmark):

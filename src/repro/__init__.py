@@ -27,7 +27,9 @@ The package is layered bottom-up:
   structural form fingerprints, settled-outcome records, and the
   priors-only warm-start that seeds a new learner's Θ₀ from its
   nearest structural neighbours;
-* :mod:`repro.bench` — the experiment harness behind ``benchmarks/``.
+* :mod:`repro.bench` — the reproduction experiments and their one
+  registry, which ``benchmarks/`` and ``tools/bench_trajectory.py``
+  both run.
 
 Quickstart (serving)::
 

@@ -1,4 +1,4 @@
-"""Benchmark harness: experiment implementations and reporting."""
+"""Benchmark harness: the experiments, their registry, and reporting."""
 
 from .harness import ExperimentResult
 from .reporting import banner, format_series, format_table
@@ -31,8 +31,11 @@ from .experiments import (
     experiment_theorem3,
     experiment_upsilon_scaling,
 )
+from .registry import EXPERIMENTS, Experiment
 
 __all__ = [
+    "EXPERIMENTS",
+    "Experiment",
     "ExperimentResult",
     "banner",
     "format_series",

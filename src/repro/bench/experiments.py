@@ -1,9 +1,11 @@
 """The reproduction experiments, one function per DESIGN.md row.
 
-Each function is deterministic given its seed, returns an
-:class:`~repro.bench.harness.ExperimentResult`, and is invoked both by
-the ``benchmarks/`` suite (which times it and asserts its checks) and
-by the integration tests (with smaller parameters).
+Each function is deterministic given its seed and returns an
+:class:`~repro.bench.harness.ExperimentResult`.  Its signature defaults
+are the pinned parameters that :data:`repro.bench.registry.EXPERIMENTS`
+runs it at; every claim it makes is a ``result.check``, so the
+``benchmarks/`` suite, the trajectory tool and the integration tests
+(which pass smaller parameters) all gate on the same verdicts.
 
 The paper has no measured tables — it is a PODS theory paper — so the
 "shape" being reproduced is: the worked examples' exact numbers, the
@@ -19,6 +21,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..datalog.database import Database
 from ..datalog.parser import parse_atom, parse_program, parse_query
+from ..datalog.rules import RuleBase
+from ..datalog.terms import Atom
 from ..graphs.contexts import Context
 from ..graphs.inference_graph import GraphBuilder, InferenceGraph
 from ..graphs.random_graphs import random_instance
@@ -86,6 +90,7 @@ __all__ = [
     "experiment_federation",
     "experiment_naf",
     "experiment_overload",
+    "experiment_qsqn",
     "experiment_serving",
     "experiment_upsilon_scaling",
     "experiment_comparison",
@@ -205,8 +210,8 @@ def experiment_figure1() -> ExperimentResult:
     ))
 
     result.data.update({"C1": c1, "C2": c2, "context_costs": costs})
-    result.check("C[Θ1] = 3.7 (paper's printed value)", abs(c1 - 3.7) < 1e-9)
-    result.check("C[Θ2] = 2.8 (paper's printed value)", abs(c2 - 2.8) < 1e-9)
+    result.check("C[Θ1] = 3.7 (paper's printed value)", c1 == 3.7)
+    result.check("C[Θ2] = 2.8 (paper's printed value)", c2 == 2.8)
     result.check("Θ2 preferred (C[Θ2] < C[Θ1])", c2 < c1)
     result.check("c(Θ1,I1)=4, c(Θ2,I1)=2, c(Θ1,I2)=2, c(Θ2,I2)=4",
                  [costs[k] for k in costs] == [4.0, 2.0, 2.0, 4.0])
@@ -537,7 +542,16 @@ def experiment_theorem2(
         "excesses": excesses,
         "contexts_used": contexts_used,
     })
-    result.check("success rate ≥ 1 − δ", success_rate >= 1 - delta)
+    if sample_scale >= 1.0:
+        result.check("success rate ≥ 1 − δ", success_rate >= 1 - delta)
+    else:
+        # Below the full budget Theorem 2 is void; the run only shows
+        # how conservative the Equation 7 budgets are.
+        result.check(
+            f"success rate ≥ 0.5 at {sample_scale:g}× the Equation 7 "
+            "budget (guarantee void)",
+            success_rate >= 0.5,
+        )
     return result
 
 
@@ -1179,6 +1193,8 @@ def experiment_comparison(
     ))
     result.data["normalized"] = {name: t / instances for name, t in totals.items()}
     norm = result.data["normalized"]
+    result.check("the optimum anchors the normalization at 1.0",
+                 norm["optimal"] == 1.0)
     result.check("PIB improves on average and never regresses (Thm 1)",
                  norm["PIB"] < norm["initial"] and pib_never_regressed)
     result.check("PALO within 10% of optimal on average",
@@ -1478,6 +1494,7 @@ def experiment_overload(
                f"p99={stormy_p99:.1f}, goodput {goodput:.1%}, "
                f"rejected {stormy_counts['rejected']}",
     ))
+    tail_ratio = unbounded_p99 / stormy_p99 if stormy_p99 else 0.0
     result.data.update({
         "offered": len(stormy),
         "burst": burst,
@@ -1491,7 +1508,7 @@ def experiment_overload(
         "stormy_p95": stormy_p95,
         "stormy_p99": stormy_p99,
         "unbounded_p99": unbounded_p99,
-        "tail_ratio": (unbounded_p99 / stormy_p99 if stormy_p99 else 0.0),
+        "tail_ratio": tail_ratio,
     })
     result.check(
         f"p99 under {burst}x burst stays within 1.25x of the 1x p99",
@@ -1499,7 +1516,7 @@ def experiment_overload(
     )
     result.check(
         "bounded-queue p99 at least 3x below the unbounded queue's",
-        unbounded_p99 >= stormy_p99 * 3.0,
+        tail_ratio >= 3.0,
     )
     result.check(
         "every request received exactly one typed outcome",
@@ -1596,6 +1613,25 @@ def experiment_overload(
 # F13: raw Datalog engine throughput (the hot-path overhaul)
 # ----------------------------------------------------------------------
 
+def _closure_workload(nodes: int) -> Tuple[RuleBase, List[Atom]]:
+    """The transitive-closure workload of the engine, QSQN and
+    federation legs: ``path/2`` rules over a ``nodes``-node chain
+    ``n000 → n001 → …`` plus a ``+5`` shortcut from every fifth node.
+    The edge order is the insertion order every pinned metric saw."""
+    rules = parse_program("""
+        path(X, Y) :- edge(X, Y).
+        path(X, Y) :- edge(X, Z), path(Z, Y).
+    """)
+    edges = [
+        Atom("edge", [f"n{index:03d}", f"n{index + 1:03d}"])
+        for index in range(nodes - 1)
+    ] + [
+        Atom("edge", [f"n{index:03d}", f"n{index + 5:03d}"])
+        for index in range(0, nodes - 5, 5)
+    ]
+    return rules, edges
+
+
 def experiment_engine(
     nodes: int = 60, proves: int = 200
 ) -> ExperimentResult:
@@ -1614,18 +1650,10 @@ def experiment_engine(
     """
     from ..datalog.bottomup import naive_evaluate, seminaive_evaluate
     from ..datalog.engine import TopDownEngine
-    from ..datalog.terms import Atom
 
     result = ExperimentResult("F13: Datalog engine throughput (engine leg)")
-    rules = parse_program("""
-        path(X, Y) :- edge(X, Y).
-        path(X, Y) :- edge(X, Z), path(Z, Y).
-    """)
-    facts = Database()
-    for index in range(nodes - 1):
-        facts.add(Atom("edge", [f"n{index:03d}", f"n{index + 1:03d}"]))
-    for index in range(0, nodes - 5, 5):
-        facts.add(Atom("edge", [f"n{index:03d}", f"n{index + 5:03d}"]))
+    rules, edges = _closure_workload(nodes)
+    facts = Database(edges)
 
     timings: Dict[str, float] = {}
 
@@ -1710,19 +1738,11 @@ def experiment_qsqn(
     from ..datalog.bottomup import BottomUpEngine
     from ..datalog.engine import TopDownEngine
     from ..datalog.qsqn import QSQNEngine
-    from ..datalog.terms import Atom
     from ..workloads.hostile import same_generation_program
 
     result = ExperimentResult("QS1: QSQN three-way throughput (qsqn leg)")
-    rules = parse_program("""
-        path(X, Y) :- edge(X, Y).
-        path(X, Y) :- edge(X, Z), path(Z, Y).
-    """)
-    facts = Database()
-    for index in range(nodes - 1):
-        facts.add(Atom("edge", [f"n{index:03d}", f"n{index + 1:03d}"]))
-    for index in range(0, nodes - 5, 5):
-        facts.add(Atom("edge", [f"n{index:03d}", f"n{index + 5:03d}"]))
+    rules, edges = _closure_workload(nodes)
+    facts = Database(edges)
 
     timings: Dict[str, float] = {}
     qsqn = QSQNEngine(rules)
@@ -1845,24 +1865,16 @@ def experiment_federation(
     telemetry — deterministic in the seed — is the trajectory metric.
     """
     from ..datalog.engine import TopDownEngine
-    from ..datalog.terms import Atom
     from ..storage.federation import FederatedStore
     from ..storage.sqlite import SQLiteFactStore
 
     result = ExperimentResult(
         "FED1: storage backends (memory vs SQLite vs federated)"
     )
-    rules = parse_program("""
-        path(X, Y) :- edge(X, Y).
-        path(X, Y) :- edge(X, Z), path(Z, Y).
-    """)
-    facts: List[Atom] = []
-    for index in range(nodes - 1):
-        facts.append(Atom("edge", [f"n{index:03d}", f"n{index + 1:03d}"]))
-    for index in range(0, nodes - 5, 5):
-        facts.append(Atom("edge", [f"n{index:03d}", f"n{index + 5:03d}"]))
-    for index in range(0, nodes, 3):
-        facts.append(Atom("marked", [f"n{index:03d}"]))
+    rules, facts = _closure_workload(nodes)
+    facts += [
+        Atom("marked", [f"n{index:03d}"]) for index in range(0, nodes, 3)
+    ]
 
     def faulty_store() -> FederatedStore:
         return FederatedStore(

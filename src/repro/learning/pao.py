@@ -14,14 +14,15 @@ PAO's pipeline has three stages:
    ``Θ_pao = Υ_AOT(G, p̂)``.
 
 Theorems 2 and 3 then guarantee
-``Pr[C[Θ_pao] ≤ C[Θ_opt] + ε] ≥ 1 − δ``; the benchmark
-``benchmarks/bench_theorem2_pao.py`` measures exactly that frequency.
+``Pr[C[Θ_pao] ≤ C[Θ_opt] + ε] ≥ 1 − δ``; the registered experiment
+``theorem2`` (:func:`repro.bench.experiment_theorem2`) measures exactly
+that frequency.
 
 The Equation 7/8 budgets are worst-case and grow as ``(n·F¬/ε)²``; the
 ``sample_scale`` knob lets benchmarks and applications trade guarantee
 slack for wall-clock (documented deviation — scaling below 1 voids the
 theorem but is useful for exploring how conservative the bound is,
-which ``bench_theorem2_pao.py`` does).
+which the ``theorem2_scaled`` experiment does).
 """
 
 from __future__ import annotations

@@ -20,8 +20,8 @@ three small dataclasses:
   request deadlines.  ``None``/absent means admission control is off
   and the server accepts everything (the pre-admission behaviour).
 
-The old processor keywords keep working through a shim that builds a
-:class:`SessionConfig` and emits a :class:`DeprecationWarning`; see
+The processor takes its knobs as ``config=`` (a :class:`SessionConfig`)
+only; a loose keyword such as ``delta=`` is a :class:`TypeError`.  See
 :class:`~repro.system.SelfOptimizingQueryProcessor`.
 """
 
@@ -99,25 +99,8 @@ class ExperienceConfig:
 
 @dataclass
 class SessionConfig:
-    """Everything a query session's processor needs to know.
-
-    The fields mirror (and subsume) the legacy keyword arguments of
-    :class:`~repro.system.SelfOptimizingQueryProcessor`:
-
-    =========================  =====================================
-    legacy keyword             config field
-    =========================  =====================================
-    ``delta``                  :attr:`delta`
-    ``test_every``             :attr:`test_every`
-    ``max_depth``              :attr:`max_depth`
-    ``transformations_factory``:attr:`transformations_factory`
-    ``resilience``             :attr:`resilience`
-    ``checkpoint_dir``         :attr:`checkpoint_dir`
-    ``checkpoint_every``       :attr:`checkpoint_every`
-    ``drift``                  :attr:`drift`
-    ``experience``             :attr:`experience`
-    =========================  =====================================
-    """
+    """Everything a query session's processor needs to know; the
+    processor reads it as ``config=`` and takes no loose keywords."""
 
     #: Per-form mistake budget (Theorem 1's ``δ``).
     delta: float = 0.05

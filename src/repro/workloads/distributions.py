@@ -265,7 +265,7 @@ class PiecewiseStationaryDistribution(ContextDistribution):
     (:meth:`arc_probabilities`, :meth:`support`, :meth:`expected_cost`)
     describes the *current* regime — what a drift-aware learner is
     trying to track.  Usable standalone (hand its :meth:`sampler` to
-    any learner) as well as by ``bench_drift``.
+    any learner) as well as by the ``drift`` experiment.
     """
 
     def __init__(

@@ -1,5 +1,5 @@
-"""Scaled-down runs of the ablation experiments (full scale lives in
-``benchmarks/bench_ablations.py``)."""
+"""Scaled-down runs of the ablation experiments (the registered
+``ablation_*`` experiments run them at full scale)."""
 
 
 from repro.bench import (

@@ -52,6 +52,13 @@ def test_drift_reports_a_leg_missing_from_the_snapshot(trajectory):
     assert trajectory.drift({"experiments": CURRENT}, CURRENT) == []
 
 
+def test_drift_reports_a_leg_missing_from_the_current_run(trajectory):
+    committed = {"experiments": dict(CURRENT, retired=leg({"cost": 1.0}))}
+    assert trajectory.drift(committed, CURRENT) == [
+        "retired: missing from the current run",
+    ]
+
+
 def test_check_prints_the_drift_and_fails(trajectory, tmp_path,
                                           monkeypatch, capsys):
     doctored = {"label": 99, "experiments": {

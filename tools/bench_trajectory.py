@@ -1,10 +1,10 @@
 #!/usr/bin/env python
 """The performance trajectory: one BENCH_<n>.json per PR, compared.
 
-Each PR that touches a performance-relevant layer runs a small fixed
-suite of deterministic experiments and commits the result as
-``BENCH_<n>.json`` at the repo root.  Because the suite and its
-parameters are pinned here, the committed files form a trajectory:
+Each PR runs every experiment in :data:`repro.bench.EXPERIMENTS` and
+commits the result as ``BENCH_<n>.json`` at the repo root.  Because
+the registry pins each experiment's parameters (its signature defaults)
+and the data keys worth comparing, the committed files form a trajectory:
 ``make bench-trajectory`` re-runs the suite, writes the current file,
 and prints every committed snapshot side by side so a regression in
 goodput, tail latency, or wall time is one table away.
@@ -32,116 +32,22 @@ import os
 import re
 import sys
 import time
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 )
 
-from repro.bench import (  # noqa: E402
-    experiment_distributed,
-    experiment_drift,
-    experiment_engine,
-    experiment_experience_warmstart,
-    experiment_federation,
-    experiment_figure1,
-    experiment_overload,
-    experiment_qsqn,
-    experiment_serving,
-)
+from repro.bench import EXPERIMENTS  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _suite() -> List[Tuple[str, Callable, List[str]]]:
-    """(name, thunk, data keys to record) — pinned parameters only."""
-    return [
-        ("figure1", experiment_figure1, []),
-        (
-            # Raw Datalog substrate speed: repeated proves, answer
-            # enumeration, both fixpoints.  The deterministic metrics
-            # pin search behaviour (a prove-cost change, or a change in
-            # the reductions, retrievals or enumeration cost behind it,
-            # means the engine explores differently); wall_seconds is
-            # the hot-path speed trend.
-            "engine",
-            lambda: experiment_engine(nodes=60, proves=200),
-            [
-                "path_facts", "answers", "prove_cost", "prove_reductions",
-                "prove_retrievals", "answers_cost",
-            ],
-        ),
-        (
-            # Goal-directed set-at-a-time evaluation vs. both
-            # baselines: the deterministic metrics pin the three-way
-            # answer agreement, QSQN's billed prove cost and the
-            # activations its drain runs; wall_seconds is the
-            # net-evaluation speed trend.
-            "qsqn",
-            lambda: experiment_qsqn(nodes=48, proves=100),
-            ["answers", "qsqn_prove_cost", "qsqn_activations", "sg_pairs"],
-        ),
-        ("distributed", experiment_distributed, []),
-        (
-            # Wall-clock speedup checks: wall_seconds is the trend
-            # here; no machine-independent metrics to pin.
-            "serving",
-            lambda: experiment_serving(
-                forms=4, queries_per_form=10, latency=0.001,
-            ),
-            [],
-        ),
-        (
-            "drift",
-            experiment_drift,
-            ["cost_vanilla", "cost_aware", "alarms", "epoch", "rollbacks"],
-        ),
-        (
-            # Storage backends head-to-head: the deterministic metrics
-            # pin cross-backend parity (answers/prove cost must never
-            # drift between memory, SQLite, and federated) and the
-            # seeded faulty leg's partial/dark/hedge/billed telemetry;
-            # wall_seconds is each backend's speed trend.
-            "federation",
-            lambda: experiment_federation(nodes=48, queries=120),
-            [
-                "answers", "prove_cost", "faulty_partials", "faulty_lost",
-                "faulty_dark_probes", "faulty_hedged_reads", "faulty_billed",
-            ],
-        ),
-        (
-            # Cross-session warm-start on the repeated university form:
-            # the deterministic metrics pin the samples-to-convergence
-            # reduction and the priors-only parity verdicts (any drift
-            # means warm-start started feeding the schedule).
-            "experience_warmstart",
-            experiment_experience_warmstart,
-            [
-                "mean_reduction", "reductions", "answer_parity",
-                "strategy_parity",
-            ],
-        ),
-        (
-            "overload",
-            lambda: experiment_overload(
-                forms=4, queries_per_form=12, burst=10,
-                queue_capacity=8, tenants=3,
-            ),
-            [
-                "goodput", "served", "rejected", "offered",
-                "stormy_p50", "stormy_p95", "stormy_p99",
-                "unbounded_p99", "tail_ratio",
-                "chaos_p99", "chaos_served", "chaos_faults_injected",
-            ],
-        ),
-    ]
-
-
 def run_suite() -> Dict[str, Any]:
     experiments: Dict[str, Any] = {}
-    for name, thunk, keys in _suite():
+    for name, run, keys in EXPERIMENTS:
         start = time.perf_counter()
-        result = thunk()
+        result = run()
         elapsed = time.perf_counter() - start
         experiments[name] = {
             "all_passed": result.all_passed,
@@ -158,8 +64,13 @@ def drift(
     committed: Dict[str, Any], experiments: Dict[str, Any]
 ) -> List[str]:
     """One line per deterministic metric that differs from the
-    committed snapshot: ``leg.key: committed -> current``."""
-    lines = []
+    committed snapshot (``leg.key: committed -> current``) and one per
+    leg that only one side ran."""
+    lines = [
+        f"{name}: missing from the current run"
+        for name in committed.get("experiments", {})
+        if name not in experiments
+    ]
     for name, info in experiments.items():
         recorded = committed.get("experiments", {}).get(name)
         if recorded is None:
